@@ -7,7 +7,7 @@ GO ?= go
 # control paths (registration heartbeats, chaos-transport overhead).
 BENCH ?= ^(BenchmarkFilter|BenchmarkFrameSplitAssemble|BenchmarkRenderFrame|BenchmarkRenderStrip|BenchmarkExecPipelineReal|BenchmarkExecPipelinePlan|BenchmarkPlanCompute|BenchmarkServeConcurrentJobs|BenchmarkGateway|BenchmarkNetfaults|BenchmarkCodecHuffmanRoundTrip|BenchmarkDeltaResidual)
 
-.PHONY: build test vet race test-framedebug bench bench-all bench-compare serve-smoke plan-smoke raster-smoke fleet-smoke fleet-chaos cache-smoke fuzz chaos-soak check
+.PHONY: build test vet race test-framedebug bench bench-all bench-compare serve-smoke plan-smoke raster-smoke fleet-smoke fleet-chaos cache-smoke fuzz chaos-soak check loc
 
 build:
 	$(GO) build ./...
@@ -64,8 +64,8 @@ serve-smoke:
 plan-smoke:
 	$(GO) run ./cmd/paperrepro -exp plan -frames 64
 
-# Rasterizer ablation smoke: real walkthrough renders on the serial,
-# replay-banded, and tiled-binned paths — every frame is byte-compared
+# Rasterizer ablation smoke: real walkthrough renders on the serial and
+# tiled-binned paths — every frame is byte-compared
 # against the serial oracle inside the experiment, so a raster divergence
 # fails the run, and the printed table records the measured vs DES-predicted
 # speedup and the tiled path's work counters.
@@ -129,6 +129,12 @@ fuzz:
 	@$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/netfaults || exit 1
 	@for t in FuzzParseRegister FuzzLoadReport; do \
 		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime $(FUZZTIME) ./internal/fleet || exit 1; done
+
+# Non-test Go lines in the repository outside perfbench/ (its own module):
+# the size figure each change reports its net effect on. Counts files git
+# tracks, so stage new files first.
+loc:
+	@cat $$(git ls-files '*.go' | grep -v _test.go | grep -v '^perfbench/') | wc -l
 
 # The pre-merge gate: static checks plus the full suite under the race
 # detector (the pipeline backends are heavily concurrent — this includes

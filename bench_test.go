@@ -417,9 +417,9 @@ func BenchmarkRenderFrameTiled(b *testing.B) {
 
 // BenchmarkRenderStrip compares the raster paths on one strip of the
 // n-renderer configuration (the shape the pipeline actually renders):
-// serial, the old per-band replay, and the tiled binned path, each over a
-// sparse and a dense city. Replay and tiled run on a 4-lane pool so the
-// numbers isolate scheduling and setup overhead, not machine parallelism.
+// serial and the tiled binned path, each over a sparse and a dense city.
+// Tiled runs on a 4-lane pool so the numbers isolate scheduling and setup
+// overhead, not machine parallelism.
 func BenchmarkRenderStrip(b *testing.B) {
 	scenes := []struct {
 		name string
@@ -433,7 +433,6 @@ func BenchmarkRenderStrip(b *testing.B) {
 		mode render.RasterMode
 	}{
 		{"serial", render.RasterSerial},
-		{"replay", render.RasterReplay},
 		{"tiled", render.RasterTiled},
 	}
 	for _, sc := range scenes {

@@ -85,7 +85,7 @@ func main() {
 			return show("Plan — profile-driven mapping vs static", experiments.RunPlan, s)
 		}},
 		{"raster", func(s experiments.Setup) error {
-			return show("Raster — serial vs replay-banded vs tiled-binned", experiments.RunRaster, s)
+			return show("Raster — serial vs tiled-binned", experiments.RunRaster, s)
 		}},
 	}
 

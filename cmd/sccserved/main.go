@@ -21,8 +21,8 @@
 // are cancelled so the deadline holds.
 //
 // Chaos mode (-chaos "seed=7,err=0.02,death=0.0005") injects a seeded,
-// deterministic fault plan into every render job to exercise the
-// supervised recovery path: retries, stall detection, and re-partitioning
+// deterministic fault plan into every render job to exercise recovery in
+// the production pipeline: retries, stall detection, and re-partitioning
 // of a dead pipeline's work show up in /metrics and in the job summaries.
 // The -breaker-threshold flag arms a circuit breaker that rejects
 // submissions after repeated job failures until a cooldown probe succeeds.

@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"sccpipe/internal/faults"
 	"sccpipe/internal/frame"
 	"sccpipe/internal/rcache"
 	"sccpipe/internal/render"
@@ -54,12 +56,26 @@ func TestCacheHitMatchesColdRender(t *testing.T) {
 				if st.Hits != st.Misses {
 					t.Fatalf("%v k=%d tile=%d warm run not fully cached: %+v", rc, k, tileRows, st)
 				}
+				// A run with faults injected runs the same program: it
+				// renders through the cache too, and every render hits.
+				chaos := spec
+				chaos.Faults = faults.MustInjector(faults.Plan{Seed: 3, Rules: []faults.Rule{
+					{Kind: faults.KindTransient, Pipeline: faults.Any, Seq: faults.Any, Prob: 0.3},
+				}})
+				chaos.Recovery = &faults.RecoveryPolicy{Backoff: time.Microsecond, MaxBackoff: 50 * time.Microsecond}
+				faulted := collectCached(t, chaos, cache)
+				if st2 := cache.Stats(); st2.Misses != st.Misses || st2.Hits != 2*st.Hits {
+					t.Fatalf("%v k=%d tile=%d faulted run not fully cached: %+v after %+v", rc, k, tileRows, st2, st)
+				}
 				for f := range want {
 					if !cold[f].Equal(want[f]) {
 						t.Fatalf("%v k=%d tile=%d cold frame %d differs from reference", rc, k, tileRows, f)
 					}
 					if !warm[f].Equal(want[f]) {
 						t.Fatalf("%v k=%d tile=%d cache-hit frame %d differs from reference", rc, k, tileRows, f)
+					}
+					if !faulted[f].Equal(want[f]) {
+						t.Fatalf("%v k=%d tile=%d faulted cache-hit frame %d differs from reference", rc, k, tileRows, f)
 					}
 				}
 			}

@@ -12,6 +12,7 @@ import (
 	"sccpipe/internal/faults"
 	"sccpipe/internal/filters"
 	"sccpipe/internal/frame"
+	"sccpipe/internal/pipe"
 	"sccpipe/internal/rcache"
 	"sccpipe/internal/render"
 )
@@ -40,21 +41,22 @@ type ExecSpec struct {
 	// run is in flight — the hook the serve layer uses to stream frames and
 	// export live per-stage busy time.
 	Observer ExecObserver
-	// Pool recycles frame and strip buffers across the run. Nil selects the
-	// process-shared frame.DefaultPool. Because buffers are recycled, the
-	// image handed to sink is only valid for the duration of the callback —
-	// see Exec.
+	// Pool recycles frame and strip buffers across the run, with or without
+	// Faults. Nil selects the process-shared frame.DefaultPool. Because
+	// buffers are recycled, the image handed to sink is only valid for the
+	// duration of the callback — see Exec. A buffer a dead pipeline may
+	// still be writing (one the stall watchdog abandoned, say) is never
+	// returned to the pool; the GC reclaims it.
 	Pool *frame.Pool
 
 	// Faults injects failures into the run for chaos testing, and Recovery
-	// tunes the supervision that makes them survivable. Setting either
-	// selects the supervised execution path (see execSupervised); with both
-	// nil the original fast path runs unchanged. The supervised path always
-	// renders sort-first (one render per strip, whatever Renderer says), so
-	// a dead pipeline's strips can be re-rendered bit-identically on any
-	// survivor, and it does not use Pool — a buffer abandoned by the stall
-	// watchdog may still be written by its wedged worker, so recycling is
-	// left to the GC.
+	// tunes the supervision that makes them survivable. Every run executes
+	// the same program on the pipe.Chain runtime: nil Faults injects
+	// nothing, and nil Recovery applies the faults.RecoveryPolicy defaults.
+	// Renderer, Pool, FrameCache, Plan and TileRows apply under faults as
+	// they do without. When a pipeline dies, its in-flight strips are
+	// re-rendered from (frame, strip) into fresh buffers on survivors,
+	// bit-identical to ExecReference.
 	Faults   faults.Injector
 	Recovery *faults.RecoveryPolicy
 
@@ -91,9 +93,7 @@ type ExecSpec struct {
 	// the filter chain runs on the copy, byte-identical to a cold render
 	// because the renderer is deterministic in the keyed inputs. Racing
 	// identical jobs single-flight through the cache (one renders, the
-	// rest copy). Only the unsupervised fast path consults the cache; the
-	// supervised path (Faults/Recovery) re-renders everything so recovery
-	// semantics stay self-contained.
+	// rest copy). Runs with Faults consult it too.
 	FrameCache *rcache.Cache
 	// SceneKey identifies the scene geometry inside FrameCache keys (see
 	// rcache.SceneKey). Callers sharing one cache across scenes must set
@@ -113,7 +113,8 @@ type ExecObserver struct {
 	// OnStageBusy reports wall time one stage instance spent computing on
 	// one strip (or, for the renderer and transfer, one frame). pipeline is
 	// the strip/pipeline index, or -1 for the shared renderer and transfer
-	// stages. A fused pass is reported under its constituent stage kinds —
+	// stages (a strip re-rendered after its pipeline died reports its strip
+	// index). A fused pass is reported under its constituent stage kinds —
 	// its measured time split proportionally to the DES cost model, summing
 	// exactly to the wall time — never under StageFused, so per-stage
 	// profiles compare directly between fused and NoFuse runs.
@@ -127,13 +128,6 @@ type ExecObserver struct {
 	OnRenderStats func(pipeline int, st render.Stats)
 }
 
-// renderStats fires the render-counter callback when set.
-func (o ExecObserver) renderStats(pipeline int, st render.Stats) {
-	if o.OnRenderStats != nil {
-		o.OnRenderStats(pipeline, st)
-	}
-}
-
 // stageBusy wraps a stage's compute step with the busy-time callback.
 func (o ExecObserver) stageBusy(kind StageKind, pipeline int, fn func() error) error {
 	if o.OnStageBusy == nil {
@@ -145,12 +139,13 @@ func (o ExecObserver) stageBusy(kind StageKind, pipeline int, fn func() error) e
 	return err
 }
 
-// fusedBusy wraps a fused run's compute step, attributing the measured
+// fusedBusy wraps a planned stage's compute step, attributing the measured
 // busy time across the constituent stage kinds proportionally to shares
 // (the DES cost-model weights, see CostModel.FusedShares). The last
 // constituent absorbs rounding so the per-kind durations sum exactly to
 // the measured wall time: no time is invented, none is dropped, and no
-// observer ever sees an opaque StageFused entry.
+// observer ever sees an opaque StageFused entry. A single-kind stage
+// reports its whole busy time under its kind.
 func (o ExecObserver) fusedBusy(kinds []StageKind, shares []float64, pipeline int, fn func() error) error {
 	if o.OnStageBusy == nil {
 		return fn()
@@ -188,11 +183,11 @@ func (s ExecSpec) Validate() error {
 type ExecResult struct {
 	Frames  int
 	Elapsed time.Duration
-	// Degraded is non-nil only when a supervised run survived pipeline
-	// deaths: it names the dead pipelines and counts retries and
-	// redispatched strips. Runs that recovered purely by retrying transient
-	// failures (no deaths), and unsupervised runs, leave it nil; per-stage
-	// retry activity is observable via RecoveryPolicy.OnEvent.
+	// Degraded is non-nil only when a run survived pipeline deaths: it
+	// names the dead pipelines and counts retries and redispatched strips.
+	// Runs that recovered purely by retrying transient failures (no
+	// deaths) leave it nil; per-stage retry activity is observable via
+	// RecoveryPolicy.OnEvent.
 	Degraded *faults.Degraded
 }
 
@@ -210,7 +205,7 @@ func stageSeed(seed int64, f, strip int, kind StageKind) int64 {
 // applyFilter runs one filter stage on a strip image. rng is the caller's
 // reusable generator: the randomized stages re-seed it from (Seed, f,
 // strip, kind), so the pixels are identical to a fresh generator per
-// application while a stage goroutine allocates its RNG state only once.
+// application while a stage allocates its RNG state only once per strip.
 // bands is the intra-stage worker pool (blur splits its rows over it);
 // nil or band.Serial keeps the stage single-goroutine.
 func applyFilter(kind StageKind, img *frame.Image, spec ExecSpec, f, strip int, rng *rand.Rand, bands *band.Pool) error {
@@ -244,7 +239,6 @@ func applyFilter(kind StageKind, img *frame.Image, spec ExecSpec, f, strip int, 
 // dedicated band pool instead of the spec-wide one.
 type execStage struct {
 	kinds   []StageKind
-	fusable bool
 	shares  []float64
 	workers int
 }
@@ -273,46 +267,36 @@ func FusableKind(k StageKind, oriented bool) bool {
 	return false
 }
 
-func (s ExecSpec) fusableKind(k StageKind) bool { return FusableKind(k, s.OrientedScratches) }
-
 // planStages resolves the executed stage sequence. With a computed Plan it
 // lowers the plan's groups directly; otherwise it groups FilterOrder into
 // maximal runs of adjacent fusable stages (unless NoFuse), everything else
 // one-to-one. With the default order the auto plan is [sepia] [blur]
 // [scratch+flicker+swap] — sepia stays alone because blur splits the run.
+// Fused stages get their busy-time attribution shares from the DES cost
+// model.
 func (s ExecSpec) planStages() []execStage {
+	var plan []execStage
 	if s.Plan != nil {
-		plan := make([]execStage, 0, len(s.Plan.Groups))
 		for gi, g := range s.Plan.Groups {
-			est := execStage{kinds: g, fusable: len(g) > 1}
+			est := execStage{kinds: g}
 			if gi < len(s.Plan.GroupWorkers) {
 				est.workers = s.Plan.GroupWorkers[gi]
 			}
 			plan = append(plan, est)
 		}
-		return attributeShares(plan)
-	}
-	plan := make([]execStage, 0, len(FilterOrder))
-	for _, k := range FilterOrder {
-		if !s.NoFuse && s.fusableKind(k) {
-			if n := len(plan); n > 0 && plan[n-1].fusable {
+	} else {
+		fuses := func(k StageKind) bool { return !s.NoFuse && FusableKind(k, s.OrientedScratches) }
+		for i, k := range FilterOrder {
+			if n := len(plan); n > 0 && fuses(k) && fuses(FilterOrder[i-1]) {
 				plan[n-1].kinds = append(plan[n-1].kinds, k)
 				continue
 			}
-			plan = append(plan, execStage{kinds: []StageKind{k}, fusable: true})
-			continue
+			plan = append(plan, execStage{kinds: []StageKind{k}})
 		}
-		plan = append(plan, execStage{kinds: []StageKind{k}})
 	}
-	return attributeShares(plan)
-}
-
-// attributeShares fills each fused stage's busy-time attribution shares
-// from the DES cost model.
-func attributeShares(plan []execStage) []execStage {
 	m := DefaultCostModel()
 	for i := range plan {
-		if len(plan[i].kinds) > 1 {
+		if plan[i].fused() {
 			plan[i].shares = m.FusedShares(plan[i].kinds)
 		}
 	}
@@ -324,6 +308,7 @@ func attributeShares(plan []execStage) []execStage {
 // unfused stage would, draws the per-frame parameters up front, and
 // applies the whole composition in a single pass over the pixels. The
 // composition is golden-tested bit-identical to the sequential stages.
+// It is a filter stage's reusable scratch; unfused stages use its rng.
 type fusedRunner struct {
 	fz  filters.Fused
 	rng *rand.Rand
@@ -353,15 +338,15 @@ func (fr *fusedRunner) apply(kinds []StageKind, img *frame.Image, spec ExecSpec,
 	return nil
 }
 
-// newStageRNG builds the one reusable generator a stage goroutine owns.
+// newStageRNG builds one reusable scratch-stage generator.
 func newStageRNG() *rand.Rand { return rand.New(rand.NewSource(0)) }
 
-type execMsg struct {
-	frame int
-	strip *frame.Strip
-	// parent is set when strip is an in-place view of a pooled full frame
-	// (the OneRenderer path); the transfer stage recycles it after the sink.
-	parent *frame.Image
+// must turns an error no valid spec can produce into a panic, which the
+// runtime recovers into the run's error.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Exec runs the macro pipeline for real: frames are rendered, filtered
@@ -385,8 +370,13 @@ func Exec(spec ExecSpec, tree *render.Octree, cams []render.Camera, sink func(f 
 // ExecContext is Exec with cancellation and full error propagation: when
 // ctx is cancelled mid-walkthrough every stage goroutine stops promptly and
 // ExecContext returns ctx's error; a panic in any stage (or in sink) is
-// recovered and returned as an error; a desynchronized pipeline is reported
-// as an error instead of a panic. No goroutines are leaked on any path.
+// recovered and returned as an error. No goroutines are leaked on any path.
+//
+// The run is lowered onto pipe.Chain, the one real-execution runtime: one
+// work item per (frame, strip), a render stage followed by the planned
+// filter stages on each of the k pipelines, and a transfer goroutine that
+// reassembles strips and hands frames to sink in order. The same program
+// runs with and without Faults/Recovery.
 func ExecContext(ctx context.Context, spec ExecSpec, tree *render.Octree, cams []render.Camera, sink func(f int, img *frame.Image)) (ExecResult, error) {
 	if err := spec.Validate(); err != nil {
 		return ExecResult{}, err
@@ -394,268 +384,353 @@ func ExecContext(ctx context.Context, spec ExecSpec, tree *render.Octree, cams [
 	if len(cams) < spec.Frames {
 		return ExecResult{}, fmt.Errorf("core: %d cameras for %d frames", len(cams), spec.Frames)
 	}
-	if spec.Faults != nil || spec.Recovery != nil {
-		return execSupervised(ctx, spec, tree, cams, sink)
-	}
 	start := time.Now()
-	k := spec.Pipelines
-	pool := spec.Pool
-	if pool == nil {
-		pool = frame.DefaultPool
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	x := newExecRun(spec, tree, cams)
+	stages := x.stages()
+
+	// Each pipeline may feed at most window frames ahead of the transfer:
+	// one per stage, plus the frame the transfer is sinking and the next
+	// one, so no stage waits on the sink. Feed takes a slot in its
+	// pipeline's ahead channel, and the transfer frees one slot per
+	// pipeline per emitted frame. Without the bound a fast pipeline
+	// outruns a slow one and their frames pile up waiting for assembly; a
+	// deeper window only queues work ahead of the frame the transfer waits
+	// for, which delays the first frame. (On the benchmark's orbit-png
+	// workload on a 2-vCPU Xeon, len(stages) cut the frame rate and
+	// 2×len(stages) delayed the first frame.)
+	window := len(stages) + 2
+	ahead := make([]chan struct{}, spec.Pipelines)
+	for i := range ahead {
+		ahead[i] = make(chan struct{}, window)
 	}
-	plan := spec.planStages()
-	bands := spec.bandPool()
-	renderBands := bands
+
+	// Transfer: its own goroutine, so sink (PNG or delta encode in the
+	// service) overlaps rendering and filtering of later frames. It gathers
+	// the k strips of each frame (in any order after a redistribution) and
+	// emits frames in order. The window bounds the strips it can be sent,
+	// so the channel never blocks the supervisor calling Collect.
+	done := make(chan pipe.Item, window*spec.Pipelines)
+	var sinkErr error
+	emitted := 0
+	transferDone := make(chan struct{})
+	go func() {
+		defer close(transferDone)
+		defer func() {
+			if r := recover(); r != nil {
+				sinkErr = fmt.Errorf("core: transfer panicked: %v", r)
+				cancel()
+			}
+		}()
+		pending := make(map[int][]*frame.Strip)
+		for it := range done {
+			got := pending[it.Seq]
+			if got == nil {
+				got = make([]*frame.Strip, 0, spec.Pipelines)
+			}
+			pending[it.Seq] = append(got, it.Data.(*frame.Strip))
+			for len(pending[emitted]) == spec.Pipelines {
+				x.transfer(emitted, pending[emitted], sink)
+				delete(pending, emitted)
+				emitted++
+				for _, c := range ahead {
+					<-c
+				}
+			}
+		}
+	}()
+
+	// One work item per (frame, strip): Item.Seq is the frame and
+	// Item.Pipeline the strip index. Data stays nil until the render stage
+	// sets the *frame.Strip, so the as-fed snapshot the supervisor keeps
+	// for redo carries no pixels and a redone strip is re-rendered — the
+	// renderer is deterministic and the randomized filters seed from
+	// (Seed, frame, strip, stage), so a redo is bit-identical.
+	chain := &pipe.Chain{
+		Stages: stages,
+		Feed: func(pl, seq int) (pipe.Item, bool) {
+			if seq >= spec.Frames {
+				return pipe.Item{}, false
+			}
+			select {
+			case ahead[pl] <- struct{}{}:
+				return pipe.Item{}, true
+			case <-ctx.Done():
+				return pipe.Item{}, false // ends the stream; the run reports ctx's error
+			}
+		},
+		Collect:  func(it pipe.Item) { done <- it },
+		Faults:   spec.Faults,
+		Recovery: spec.Recovery,
+	}
+	res, err := chain.RunContext(ctx, spec.Pipelines)
+	close(done)
+	<-transferDone
+	if sinkErr != nil {
+		return ExecResult{}, sinkErr
+	}
+	if err == nil && emitted < spec.Frames {
+		err = ctx.Err() // a cancelled Feed ended the streams early
+	}
+	if err != nil {
+		return ExecResult{}, err
+	}
+	return ExecResult{Frames: spec.Frames, Elapsed: time.Since(start), Degraded: res.Degraded}, nil
+}
+
+// execRun is the state one run's stages share.
+type execRun struct {
+	spec   ExecSpec
+	cams   []render.Camera
+	pool   *frame.Pool
+	shared *sharedFrames // OneRenderer/HostRenderer; nil for NRenderers
+	// renderers[i] serves strip i and renderers[k] whole frames.
+	renderers []freeList[*render.Renderer]
+}
+
+// freeList recycles stage scratch — renderers, filter runners — within
+// one run. A stage Fn runs on whichever pipeline carries the item
+// (and on stall-watchdog helpers), so scratch cannot belong to a
+// goroutine; it is kept per (stage, strip) instead. A clean run then
+// builds exactly one per stage and strip, as a goroutine-per-stage chain
+// would, with each renderer's setup buffers sized to its own strip; only
+// strips redistributed after a death build more.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+	new   func() T
+}
+
+func (l *freeList[T]) get() T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.items); n > 0 {
+		x := l.items[n-1]
+		l.items = l.items[:n-1]
+		return x
+	}
+	return l.new()
+}
+
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	l.items = append(l.items, x)
+	l.mu.Unlock()
+}
+
+// perStrip returns n free lists built by newT.
+func perStrip[T any](n int, newT func() T) []freeList[T] {
+	ls := make([]freeList[T], n)
+	for i := range ls {
+		ls[i].new = newT
+	}
+	return ls
+}
+
+func newExecRun(spec ExecSpec, tree *render.Octree, cams []render.Camera) *execRun {
+	x := &execRun{spec: spec, cams: cams, pool: spec.Pool}
+	if x.pool == nil {
+		x.pool = frame.DefaultPool
+	}
+	if spec.Renderer != NRenderers {
+		x.shared = &sharedFrames{k: spec.Pipelines, slots: make(map[int]*frameSlot)}
+	}
+	renderBands := spec.bandPool()
 	if spec.Plan != nil && spec.Plan.RenderWorkers > 0 {
 		renderBands = bandPoolFor(spec.Plan.RenderWorkers)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	x.renderers = perStrip(spec.Pipelines+1, func() *render.Renderer {
+		r := render.NewRenderer(tree)
+		r.Bands = renderBands
+		r.TileRows = spec.TileRows
+		return r
+	})
+	return x
+}
 
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+// stages lowers the run onto pipe stages: render, then one stage per
+// planned filter group. A fused group is ONE pipe stage whose Covers lists
+// the constituent names, so fault rules naming a fused-away stage still
+// fire. The observer sees the strip index as the pipeline: the origin
+// pipeline, even when a survivor carries the strip after a death.
+func (x *execRun) stages() []pipe.Stage {
+	spec := &x.spec
+	stages := []pipe.Stage{{Name: StageRender.String(), Fn: x.render}}
+	for _, est := range spec.planStages() {
+		est := est
+		bands := spec.bandPool()
+		if est.workers > 0 {
+			bands = bandPoolFor(est.workers)
 		}
-		errMu.Unlock()
-		cancel()
-	}
-	var wg sync.WaitGroup
-	spawn := func(name string, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("core: %s panicked: %v", name, r))
+		covers := make([]string, len(est.kinds))
+		for i, k := range est.kinds {
+			covers[i] = k.String()
+		}
+		runners := perStrip(spec.Pipelines, newFusedRunner)
+		stages = append(stages, pipe.Stage{Name: est.name(), Covers: covers, Fn: func(it pipe.Item) pipe.Item {
+			l := &runners[it.Pipeline]
+			fr := l.get()
+			img := it.Data.(*frame.Strip).Img
+			must(spec.Observer.fusedBusy(est.kinds, est.shares, it.Pipeline, func() error {
+				if est.fused() {
+					return fr.apply(est.kinds, img, *spec, it.Seq, it.Pipeline, bands)
 				}
-			}()
-			if err := fn(); err != nil {
-				fail(err)
-			}
-		}()
+				return applyFilter(est.kinds[0], img, *spec, it.Seq, it.Pipeline, fr.rng, bands)
+			}))
+			l.put(fr)
+			return it
+		}})
 	}
-	send := func(ch chan<- execMsg, m execMsg) error {
-		select {
-		case ch <- m:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	recv := func(ch <-chan execMsg) (m execMsg, ok bool, err error) {
-		select {
-		case m, ok = <-ch:
-			return m, ok, nil
-		case <-ctx.Done():
-			return execMsg{}, false, ctx.Err()
-		}
-	}
+	return stages
+}
 
-	heads := make([]chan execMsg, k)
-	for i := range heads {
-		heads[i] = make(chan execMsg, 1)
+// render is the render stage: a row view of the shared frame with one
+// renderer, or a strip rendered into its own pooled buffer with n
+// renderers and for any strip the shared frame cannot hand out again.
+func (x *execRun) render(it pipe.Item) pipe.Item {
+	f, i := it.Seq, it.Pipeline
+	var s *frame.Strip
+	if x.shared != nil {
+		s = x.shared.view(f, i, x.renderFrame)
 	}
+	if s == nil {
+		y0, y1 := frame.StripBounds(x.spec.Height, x.spec.Pipelines, i)
+		s = &frame.Strip{Index: i, Y0: y0, Img: x.pool.Get(x.spec.Width, y1-y0)}
+		x.renderRows(s.Img, f, y0, i)
+	}
+	it.Data = s
+	return it
+}
 
-	// Producers. On an error path the head channels stay open — downstream
-	// stages are unblocked by the cancelled context, not by channel close,
-	// which keeps the first error from being masked by "ended early".
-	// Buffers in flight when a run is cancelled are simply not returned to
-	// the pool; the GC reclaims them.
-	switch spec.Renderer {
-	case NRenderers:
-		for i := 0; i < k; i++ {
-			i := i
-			spawn(fmt.Sprintf("renderer %d", i), func() error {
-				r := render.NewRenderer(tree)
-				r.Bands = renderBands
-				r.TileRows = spec.TileRows
-				y0, y1 := frame.StripBounds(spec.Height, k, i)
-				for f := 0; f < spec.Frames; f++ {
-					img := pool.Get(spec.Width, y1-y0)
-					err := spec.Observer.stageBusy(StageRender, i, func() error {
-						render := func(dst *frame.Image) error {
-							spec.Observer.renderStats(i, r.RenderStrip(cams[f], dst, spec.Width, spec.Height, y0))
-							return nil
-						}
-						if spec.FrameCache == nil {
-							return render(img)
-						}
-						key := rcache.FrameKey(spec.SceneKey, cams[f], spec.Width, spec.Height, f, y0, y1-y0)
-						_, err := spec.FrameCache.Do(key, img, render)
-						return err
-					})
-					if err != nil {
-						return err
-					}
-					m := execMsg{frame: f, strip: &frame.Strip{Index: i, Y0: y0, Img: img}}
-					if err := send(heads[i], m); err != nil {
-						return err
-					}
-				}
-				close(heads[i])
-				return nil
-			})
-		}
-	default: // OneRenderer, HostRenderer
-		spawn("renderer", func() error {
-			r := render.NewRenderer(tree)
-			r.Bands = renderBands
-			r.TileRows = spec.TileRows
-			for f := 0; f < spec.Frames; f++ {
-				img := pool.Get(spec.Width, spec.Height)
-				err := spec.Observer.stageBusy(StageRender, -1, func() error {
-					render := func(dst *frame.Image) error {
-						spec.Observer.renderStats(-1, r.RenderFrame(cams[f], dst))
-						return nil
-					}
-					if spec.FrameCache == nil {
-						return render(img)
-					}
-					key := rcache.FrameKey(spec.SceneKey, cams[f], spec.Width, spec.Height, f, 0, spec.Height)
-					_, err := spec.FrameCache.Do(key, img, render)
-					return err
-				})
-				if err != nil {
-					return err
-				}
-				// Zero-copy hand-off: the strips are row-range views of
-				// img, mutated in place by the filter chains. The views are
-				// disjoint byte ranges, so the k pipelines never touch the
-				// same byte, and the channel sends order each strip's writes
-				// before the transfer stage reads them.
-				strips, err := frame.SplitRowsView(img, k)
-				if err != nil {
-					return err
-				}
-				for i, s := range strips {
-					if err := send(heads[i], execMsg{frame: f, strip: s, parent: img}); err != nil {
-						return err
-					}
-				}
-			}
-			for _, ch := range heads {
-				close(ch)
+// renderFrame renders all of frame f into a pooled buffer.
+func (x *execRun) renderFrame(f int) *frame.Image {
+	img := x.pool.Get(x.spec.Width, x.spec.Height)
+	x.renderRows(img, f, 0, -1)
+	return img
+}
+
+// renderRows renders rows [y0, y0+dst.H) of frame f into dst through the
+// frame cache, reporting busy time and work counters under pipeline.
+func (x *execRun) renderRows(dst *frame.Image, f, y0, pipeline int) {
+	spec := &x.spec
+	rl := &x.renderers[spec.Pipelines]
+	if pipeline >= 0 {
+		rl = &x.renderers[pipeline]
+	}
+	r := rl.get()
+	key := rcache.FrameKey(spec.SceneKey, x.cams[f], spec.Width, spec.Height, f, y0, dst.H)
+	must(spec.Observer.stageBusy(StageRender, pipeline, func() error {
+		_, err := spec.FrameCache.Do(key, dst, func(dst *frame.Image) error {
+			st := r.RenderStrip(x.cams[f], dst, spec.Width, spec.Height, y0)
+			if spec.Observer.OnRenderStats != nil {
+				spec.Observer.OnRenderStats(pipeline, st)
 			}
 			return nil
 		})
-	}
+		return err
+	}))
+	rl.put(r)
+}
 
-	// Filter chains: one goroutine per PLANNED stage — a fused run of point
-	// filters occupies one goroutine and rewrites its strip in a single
-	// memory pass, where the unfused chain pays a read and a write (plus
-	// two channel hand-offs) per constituent.
-	tails := make([]chan execMsg, k)
-	for i := 0; i < k; i++ {
-		i := i
-		in := heads[i]
-		for _, est := range plan {
-			est := est
-			out := make(chan execMsg, 1)
-			src := in
-			stageBands := bands
-			if est.workers > 0 {
-				stageBands = bandPoolFor(est.workers)
-			}
-			spawn(fmt.Sprintf("filter %s.%d", est.name(), i), func() error {
-				rng := newStageRNG()
-				var fr *fusedRunner
-				if est.fused() {
-					fr = &fusedRunner{rng: rng}
-				}
-				for {
-					msg, ok, err := recv(src)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						close(out)
-						return nil
-					}
-					var stageErr error
-					if est.fused() {
-						stageErr = spec.Observer.fusedBusy(est.kinds, est.shares, i, func() error {
-							return fr.apply(est.kinds, msg.strip.Img, spec, msg.frame, msg.strip.Index, stageBands)
-						})
-					} else {
-						kind := est.kinds[0]
-						stageErr = spec.Observer.stageBusy(kind, i, func() error {
-							return applyFilter(kind, msg.strip.Img, spec, msg.frame, msg.strip.Index, rng, stageBands)
-						})
-					}
-					if stageErr != nil {
-						return stageErr
-					}
-					if err := send(out, msg); err != nil {
-						return err
-					}
-				}
-			})
-			in = out
-		}
-		tails[i] = in
+// transfer emits one gathered frame and recycles its buffers. With one
+// renderer the strips are views of the frame's pooled buffer, already
+// assembled in place, and that buffer goes to sink as is; otherwise (n
+// renderers, or a frame with a re-rendered strip) the strips are gathered
+// into a fresh pooled frame. It runs only on the transfer goroutine.
+func (x *execRun) transfer(f int, strips []*frame.Strip, sink func(f int, img *frame.Image)) {
+	spec := &x.spec
+	var out *frame.Image
+	tainted := false
+	if x.shared != nil {
+		out, tainted = x.shared.release(f)
 	}
-
-	// Transfer: gather one strip per pipeline per frame, emit, recycle.
-	// When every strip is a view of the same pooled frame (OneRenderer) the
-	// frame is already assembled in place and goes to the sink as-is; the
-	// NRenderers path gathers the pooled strip buffers into one pooled
-	// frame. Either way the emitted buffer returns to the pool after sink.
-	spawn("transfer", func() error {
-		strips := make([]*frame.Strip, 0, k)
-		for f := 0; f < spec.Frames; f++ {
-			strips = strips[:0]
-			var parent *frame.Image
-			shared := true
-			for i := 0; i < k; i++ {
-				msg, ok, err := recv(tails[i])
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return fmt.Errorf("core: pipeline %d ended early at frame %d", i, f)
-				}
-				if msg.frame != f {
-					return fmt.Errorf("core: pipeline %d out of sync at frame %d (got frame %d)", i, f, msg.frame)
-				}
-				if i == 0 {
-					parent = msg.parent
-				} else if msg.parent != parent {
-					shared = false
-				}
-				strips = append(strips, msg.strip)
-			}
-			out := parent
-			if !shared || parent == nil {
-				out = pool.Get(spec.Width, spec.Height)
-				frame.AssembleInto(out, strips)
-			}
-			_ = spec.Observer.stageBusy(StageTransfer, -1, func() error {
-				if sink != nil {
-					sink(f, out)
-				}
-				return nil
-			})
-			if spec.Observer.OnFrame != nil {
-				spec.Observer.OnFrame(f)
-			}
-			for _, s := range strips {
-				if s.Parent() == nil && s.Img != out {
-					pool.Put(s.Img)
-				}
-			}
-			pool.Put(out)
+	if out == nil || tainted {
+		out = x.pool.Get(spec.Width, spec.Height)
+		frame.AssembleInto(out, strips)
+	}
+	_ = spec.Observer.stageBusy(StageTransfer, -1, func() error {
+		if sink != nil {
+			sink(f, out)
 		}
 		return nil
 	})
-
-	wg.Wait()
-	if firstErr != nil {
-		return ExecResult{}, firstErr
+	if spec.Observer.OnFrame != nil {
+		spec.Observer.OnFrame(f)
 	}
-	return ExecResult{Frames: spec.Frames, Elapsed: time.Since(start)}, nil
+	for _, s := range strips {
+		if s.Parent() == nil {
+			x.pool.Put(s.Img)
+		}
+	}
+	x.pool.Put(out)
+}
+
+// sharedFrames renders each frame once for OneRenderer/HostRenderer and
+// hands its strips to the pipelines as zero-copy row views of one pooled
+// buffer. The views are disjoint byte ranges, so the k pipelines never
+// touch the same byte. A strip asked for a second time is a redo after its
+// carrier died: view returns nil so the caller renders it afresh into its
+// own buffer, and the frame is tainted — the first holder, say a stage the
+// stall watchdog abandoned, may still be writing its rows — so its buffer
+// never returns to the pool. Slots live only while their frame is in
+// flight. Frames render one at a time, as on the paper's single renderer
+// core, so a run needs one renderer for them however the pipelines race.
+type sharedFrames struct {
+	mu       sync.Mutex
+	renderMu sync.Mutex
+	k        int
+	slots    map[int]*frameSlot
+	emitted  int // frames below this are released and their slots gone
+}
+
+type frameSlot struct {
+	once    sync.Once
+	img     *frame.Image
+	views   []*frame.Strip
+	taken   []bool
+	tainted bool
+}
+
+// view returns strip i of frame f as a view, rendering the frame with
+// render on the first request, or nil when the strip was handed out
+// before.
+func (sf *sharedFrames) view(f, i int, render func(f int) *frame.Image) *frame.Strip {
+	sf.mu.Lock()
+	slot := sf.slots[f]
+	if f < sf.emitted || (slot != nil && slot.taken[i]) {
+		if slot != nil {
+			slot.tainted = true
+		}
+		sf.mu.Unlock()
+		return nil
+	}
+	if slot == nil {
+		slot = &frameSlot{taken: make([]bool, sf.k)}
+		sf.slots[f] = slot
+	}
+	slot.taken[i] = true
+	sf.mu.Unlock()
+	slot.once.Do(func() {
+		sf.renderMu.Lock()
+		defer sf.renderMu.Unlock()
+		slot.img = render(f)
+		views, err := frame.SplitRowsView(slot.img, sf.k)
+		must(err)
+		slot.views = views
+	})
+	return slot.views[i]
+}
+
+// release drops frame f's slot after its last strip arrived, returning the
+// frame's buffer and whether it is tainted.
+func (sf *sharedFrames) release(f int) (*frame.Image, bool) {
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	slot := sf.slots[f]
+	delete(sf.slots, f)
+	sf.emitted = f + 1
+	return slot.img, slot.tainted
 }
 
 // ExecReference computes the same strip-wise result sequentially — the

@@ -14,15 +14,13 @@ import (
 	"sccpipe/internal/render"
 )
 
-// RasterRun is one worker count of the rasterizer ablation: the replay
-// (per-band re-cull) and tiled (setup-once, binned) paths timed on real
-// walkthrough renders, plus the cost model's prediction of what tiling
-// should buy at that width.
+// RasterRun is one worker count of the rasterizer ablation: the tiled
+// (setup-once, binned) path timed on real walkthrough renders, plus the
+// cost model's prediction of what tiling should buy at that width.
 type RasterRun struct {
 	Workers int
-	// Wall-clock seconds for the whole walkthrough, per raster path.
-	ReplaySeconds float64
-	TiledSeconds  float64
+	// TiledSeconds is wall-clock seconds for the whole walkthrough.
+	TiledSeconds float64
 	// MeasuredSpeedup is serial seconds / tiled seconds; PredictedSpeedup
 	// is the DES cost model's serial work divided by the tiled path's
 	// fixed + scaled/workers decomposition (RenderFixedWork/RenderScaledWork).
@@ -30,9 +28,9 @@ type RasterRun struct {
 	PredictedSpeedup float64
 }
 
-// RasterResult is the tiled-rasterization ablation: the serial oracle,
-// the old replay-banded path, and the tiled-binned path on the same
-// walkthrough, byte-compared frame by frame. Unlike the figure
+// RasterResult is the tiled-rasterization ablation: the serial oracle and
+// the tiled-binned path on the same walkthrough, byte-compared frame by
+// frame. Unlike the figure
 // experiments this one executes real renders and reports wall time, so
 // its numbers vary with the host; the prediction column is the part the
 // DES model claims.
@@ -51,10 +49,10 @@ func (r RasterResult) String() string {
 	fmt.Fprintf(&b, "Tiled rasterization ablation — real renders, %d frames %d×%d (all outputs byte-identical)\n",
 		r.Frames, r.Width, r.Height)
 	fmt.Fprintf(&b, "serial oracle %8.3fs\n", r.SerialSeconds)
-	fmt.Fprintf(&b, "%-8s %10s %10s %10s %11s\n", "workers", "replay s", "tiled s", "measured", "predicted")
+	fmt.Fprintf(&b, "%-8s %10s %10s %11s\n", "workers", "tiled s", "measured", "predicted")
 	for _, run := range r.Runs {
-		fmt.Fprintf(&b, "%-8d %10.3f %10.3f %9.2fx %10.2fx\n",
-			run.Workers, run.ReplaySeconds, run.TiledSeconds, run.MeasuredSpeedup, run.PredictedSpeedup)
+		fmt.Fprintf(&b, "%-8d %10.3f %9.2fx %10.2fx\n",
+			run.Workers, run.TiledSeconds, run.MeasuredSpeedup, run.PredictedSpeedup)
 	}
 	st, ss := r.TiledStats, r.SerialStats
 	fmt.Fprintf(&b, "tiled counters: tris setup %d, binned %d, tiles touched %d, bins rejected %d\n",
@@ -73,10 +71,8 @@ func (r RasterResult) WriteCSV(w io.Writer) error {
 	rows := [][]string{{"variant", "workers", "seconds", "measured_speedup", "predicted_speedup"}}
 	rows = append(rows, []string{"serial", "1", ftoa(r.SerialSeconds), "1", "1"})
 	for _, run := range r.Runs {
-		rows = append(rows,
-			[]string{"replay", itoa(run.Workers), ftoa(run.ReplaySeconds), "", ""},
-			[]string{"tiled", itoa(run.Workers), ftoa(run.TiledSeconds),
-				ftoa(run.MeasuredSpeedup), ftoa(run.PredictedSpeedup)})
+		rows = append(rows, []string{"tiled", itoa(run.Workers), ftoa(run.TiledSeconds),
+			ftoa(run.MeasuredSpeedup), ftoa(run.PredictedSpeedup)})
 	}
 	return writeAll(w, rows)
 }
@@ -110,7 +106,7 @@ func rasterPass(tree *render.Octree, cams []render.Camera, w, h int,
 }
 
 // RunRaster executes the rasterizer ablation: serial oracle, then the
-// replay-banded and tiled-binned paths across a band-worker sweep, with
+// tiled-binned path across a band-worker sweep, with
 // every frame byte-compared against the oracle (a digest mismatch is an
 // error — the tiled path is only a win if it is exact).
 func RunRaster(s Setup) (RasterResult, error) {
@@ -141,10 +137,6 @@ func RunRaster(s Setup) (RasterResult, error) {
 		run := RasterRun{Workers: w}
 		var st render.Stats
 		var sums []uint64
-		run.ReplaySeconds, _, sums = rasterPass(tree, cams, s.Width, s.Height, render.RasterReplay, pool)
-		if f := firstMismatch(oracle, sums); f >= 0 {
-			return RasterResult{}, fmt.Errorf("replay w=%d: frame %d differs from the serial oracle", w, f)
-		}
 		run.TiledSeconds, st, sums = rasterPass(tree, cams, s.Width, s.Height, render.RasterTiled, pool)
 		if f := firstMismatch(oracle, sums); f >= 0 {
 			return RasterResult{}, fmt.Errorf("tiled w=%d: frame %d differs from the serial oracle", w, f)

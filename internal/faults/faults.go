@@ -21,8 +21,10 @@
 //   - Degraded: the report a run returns when it survived pipeline deaths
 //     by re-partitioning the dead pipeline's work across survivors.
 //
-// Everything here is opt-in: a nil Injector and nil RecoveryPolicy select
-// the original fast paths byte for byte.
+// Supervision is part of the one real-execution runtime (pipe.Chain, onto
+// which core.ExecContext lowers), not a second code path: with a nil
+// Injector, Apply runs each stage's work inline with no faults, and a nil
+// RecoveryPolicy takes the defaults.
 package faults
 
 import (

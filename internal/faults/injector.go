@@ -27,8 +27,8 @@ type Outcome struct {
 // an incremented attempt, and redistributed work re-consults under its
 // new carrier pipeline.
 //
-// A nil Injector everywhere means "no faults" and selects the original
-// fast paths.
+// A nil Injector everywhere means "no faults": the backends run the same
+// program with every fault point passing straight through.
 type Injector interface {
 	// Stage is consulted before each stage application: pipeline is the
 	// carrier pipeline index (-1 for shared singleton stages), stage the

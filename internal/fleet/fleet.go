@@ -296,8 +296,9 @@ func (g *Gateway) Drain(ctx context.Context) error {
 }
 
 // ListenAndServe serves on addr until ctx is cancelled, then drains:
-// admission closes, in-flight relays finish bounded by DrainTimeout, the
-// health loops stop, and the listener shuts down. ready, if non-nil, is
+// admission closes, in-flight relays finish bounded by DrainTimeout (what
+// is left when it expires is severed), the health loops stop, and the
+// listener shuts down; see serve.ServeAndDrain. ready, if non-nil, is
 // called with the bound address before serving.
 func (g *Gateway) ListenAndServe(ctx context.Context, addr string, ready func(net.Addr)) error {
 	ln, err := net.Listen("tcp", addr)
@@ -309,22 +310,11 @@ func (g *Gateway) ListenAndServe(ctx context.Context, addr string, ready func(ne
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	hs := &http.Server{Handler: g}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
+	err = serve.ServeAndDrain(ctx, ln, g, g.cfg.DrainTimeout, g.BeginDrain, nil)
+	if errors.Is(err, context.DeadlineExceeded) {
+		return nil // the drain window expired and the rest was severed
 	}
-	g.BeginDrain()
-	dctx, cancel := context.WithTimeout(context.Background(), g.cfg.DrainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(dctx); err != nil {
-		hs.Close() // drain window expired: sever what is left mid-stream
-	}
-	<-errc
-	return nil
+	return err
 }
 
 // logf logs one line if logging is configured.

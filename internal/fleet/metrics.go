@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -53,31 +52,29 @@ func registerKey(kind string) string     { return stats.InjectLabel(mRegistered,
 func stallKey(worker string) string      { return stats.InjectLabel(mStreamStalls, "worker", worker) }
 
 // gateFamilies fixes the gateway section's exposition order and metadata.
-var gateFamilies = []struct {
-	name, kind, help string
-}{
-	{mAccepted, "counter", "Jobs accepted for routing."},
-	{mCompleted, "counter", "Jobs whose full stream was relayed to the client."},
-	{mFailed, "counter", "Jobs that failed after exhausting the failover budget."},
-	{mRejected, "counter", "Jobs refused (draining, no workers, fleet busy, invalid), by reason."},
-	{mClientGone, "counter", "Jobs abandoned because the client went away; never blamed on a worker."},
-	{mWorkerJobs, "counter", "Jobs routed, by worker (retries of one job count per worker tried)."},
-	{mRetries, "counter", "Job failovers, labeled by the worker that failed."},
-	{mWorkerDeaths, "counter", "Workers declared dead after consecutive failures, by worker."},
-	{mFramesRelayed, "counter", "Frame parts relayed to clients."},
-	{mFramesDiscarded, "counter", "Duplicate frame parts discarded during failover replays."},
-	{mHealthChecks, "counter", "Health probes, by result."},
-	{mWorkers, "gauge", "Registered workers, by state."},
-	{mUptime, "gauge", "Seconds since the gateway started."},
-	{mQueued, "counter", "Jobs that waited in the gateway admission queue."},
-	{mQueueDepth, "gauge", "Jobs currently parked in the admission queue."},
-	{mQueueEvict, "counter", "Queued jobs shed before reaching a worker, by reason."},
-	{mRegistered, "counter", "Dynamic worker registrations, by kind (new, renew)."},
-	{mLeaseExpired, "counter", "Dynamic workers evicted because their lease lapsed."},
-	{mForgotten, "counter", "Dead dynamic workers removed from the registry entirely."},
-	{mStreamStalls, "counter", "Stream attempts cancelled by the adaptive stall watchdog, by worker."},
-	{mAffinityRouted, "counter", "Jobs routed to the rendezvous-preferred worker for cache affinity."},
-	{mAffinityOverridden, "counter", "Jobs steered away from the affine worker because its load exceeded the slack."},
+var gateFamilies = []stats.Family{
+	{Name: mAccepted, Kind: "counter", Help: "Jobs accepted for routing."},
+	{Name: mCompleted, Kind: "counter", Help: "Jobs whose full stream was relayed to the client."},
+	{Name: mFailed, Kind: "counter", Help: "Jobs that failed after exhausting the failover budget."},
+	{Name: mRejected, Kind: "counter", Help: "Jobs refused (draining, no workers, fleet busy, invalid), by reason.", Labeled: true},
+	{Name: mClientGone, Kind: "counter", Help: "Jobs abandoned because the client went away; never blamed on a worker."},
+	{Name: mWorkerJobs, Kind: "counter", Help: "Jobs routed, by worker (retries of one job count per worker tried).", Labeled: true},
+	{Name: mRetries, Kind: "counter", Help: "Job failovers, labeled by the worker that failed.", Labeled: true},
+	{Name: mWorkerDeaths, Kind: "counter", Help: "Workers declared dead after consecutive failures, by worker.", Labeled: true},
+	{Name: mFramesRelayed, Kind: "counter", Help: "Frame parts relayed to clients."},
+	{Name: mFramesDiscarded, Kind: "counter", Help: "Duplicate frame parts discarded during failover replays."},
+	{Name: mHealthChecks, Kind: "counter", Help: "Health probes, by result.", Labeled: true},
+	{Name: mWorkers, Kind: "gauge", Help: "Registered workers, by state.", Labeled: true},
+	{Name: mUptime, Kind: "gauge", Help: "Seconds since the gateway started."},
+	{Name: mQueued, Kind: "counter", Help: "Jobs that waited in the gateway admission queue."},
+	{Name: mQueueDepth, Kind: "gauge", Help: "Jobs currently parked in the admission queue."},
+	{Name: mQueueEvict, Kind: "counter", Help: "Queued jobs shed before reaching a worker, by reason.", Labeled: true},
+	{Name: mRegistered, Kind: "counter", Help: "Dynamic worker registrations, by kind (new, renew).", Labeled: true},
+	{Name: mLeaseExpired, Kind: "counter", Help: "Dynamic workers evicted because their lease lapsed."},
+	{Name: mForgotten, Kind: "counter", Help: "Dead dynamic workers removed from the registry entirely."},
+	{Name: mStreamStalls, Kind: "counter", Help: "Stream attempts cancelled by the adaptive stall watchdog, by worker.", Labeled: true},
+	{Name: mAffinityRouted, Kind: "counter", Help: "Jobs routed to the rendezvous-preferred worker for cache affinity."},
+	{Name: mAffinityOverridden, Kind: "counter", Help: "Jobs steered away from the affine worker because its load exceeded the slack."},
 }
 
 // NodeStatus is one row of the /nodes table.
@@ -189,37 +186,8 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		g.m.Set(stats.InjectLabel(mWorkers, "state", state.String()), float64(count))
 	}
 
-	snap := g.m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, fam := range gateFamilies {
-		members := make([]string, 0, 2)
-		for _, k := range keys {
-			if k == fam.name || strings.HasPrefix(k, fam.name+"{") {
-				members = append(members, k)
-			}
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
-		if len(members) == 0 {
-			// Plain families expose explicit zeros from the first scrape;
-			// labeled families stay empty until their first sample.
-			switch fam.name {
-			case mRejected, mWorkerJobs, mRetries, mWorkerDeaths, mHealthChecks, mWorkers,
-				mQueueEvict, mRegistered, mStreamStalls:
-			default:
-				fmt.Fprintf(w, "%s 0\n", fam.name)
-			}
-			continue
-		}
-		for _, k := range members {
-			fmt.Fprintf(w, "%s %s\n", k, formatValue(snap[k]))
-		}
-	}
+	stats.WriteExposition(w, gateFamilies, g.m.Snapshot())
 	g.writeFleetMetrics(w)
 }
 
@@ -337,14 +305,6 @@ func mergeExposition(worker string, body []byte, order *[]string, fams map[strin
 		f := family(name)
 		f.samples = append(f.samples, stats.InjectLabel(key, "worker", worker)+" "+val)
 	}
-}
-
-// formatValue renders a sample value the way Prometheus expects.
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }
 
 // Metric returns the current value of a gateway metric key (tests and

@@ -65,11 +65,11 @@ type Stage struct {
 	// whole run out.
 	Fusable bool
 	// Covers lists the original stage names this stage stands in for, for
-	// fault-injection purposes: supervised runs consult the injector's
-	// stage and transfer rules for every covered name, so a rule naming a
-	// stage that was fused away still fires. Nil means the stage covers
-	// only its own Name. Plan-time fusion fills it in automatically;
-	// callers set it when they hand the chain an already-fused stage.
+	// fault-injection purposes: runs consult the injector's stage and
+	// transfer rules for every covered name, so a rule naming a stage that
+	// was fused away still fires. Nil means the stage covers only its own
+	// Name. Plan-time fusion fills it in automatically; callers set it
+	// when they hand the chain an already-fused stage.
 	Covers []string
 }
 
@@ -98,15 +98,15 @@ type Chain struct {
 
 	// Faults injects failures into Run/RunContext for chaos testing, and
 	// Recovery tunes the supervision that makes them survivable (retries
-	// with backoff, stall detection, pipeline-death redistribution).
-	// Setting either selects the supervised execution path; with both nil
-	// the original fast path runs unchanged.
+	// with backoff, stall detection, pipeline-death redistribution). Every
+	// run goes through the same supervised runtime; nil Faults injects
+	// nothing and nil Recovery applies the faults.RecoveryPolicy defaults.
 	//
-	// Supervised runs relax two contracts in exchange for survival: items
-	// of one stream may reach Collect out of order after a redistribution,
+	// Recovery relaxes two contracts in exchange for survival: items of
+	// one stream may reach Collect out of order after a redistribution,
 	// and stage Fns must treat Item.Data as an immutable input (returning
-	// new payloads rather than mutating in place), because a failed item
-	// is redone from its as-fed snapshot.
+	// new payloads rather than mutating in place), because an item whose
+	// pipeline died is redone from its as-fed snapshot.
 	Faults   faults.Injector
 	Recovery *faults.RecoveryPolicy
 
@@ -137,42 +137,32 @@ type plannedStage struct {
 // plan resolves the execution plan. An explicit Groups override is
 // lowered directly; otherwise maximal runs of adjacent Fusable stages
 // become single planned stages (unless Chain.NoFuse), everything else
-// one-to-one. Run, Simulate and the supervised path all execute the plan,
-// so fused and unfused arrangements differ only in hand-offs, never in
-// per-item work.
+// one-to-one. Run and Simulate both execute the plan, so fused and
+// unfused arrangements differ only in hand-offs, never in per-item work.
 func (c *Chain) plan() []plannedStage {
-	if c.Groups != nil {
-		plan := make([]plannedStage, 0, len(c.Groups))
-		for _, g := range c.Groups {
-			p := plannedStage{}
-			for i, si := range g {
-				st := c.Stages[si]
-				p.parts = append(p.parts, st)
-				p.covered = append(p.covered, st.covers()...)
-				if i == 0 {
-					p.name = st.Name
-				} else {
-					p.name += "+" + st.Name
-				}
+	groups := c.Groups
+	if groups == nil {
+		for i, st := range c.Stages {
+			if n := len(groups); !c.NoFuse && n > 0 && st.Fusable && c.Stages[i-1].Fusable {
+				groups[n-1] = append(groups[n-1], i)
+				continue
 			}
-			plan = append(plan, p)
+			groups = append(groups, []int{i})
 		}
-		return plan
 	}
-	plan := make([]plannedStage, 0, len(c.Stages))
-	for _, st := range c.Stages {
-		if n := len(plan); !c.NoFuse && st.Fusable && n > 0 && plan[n-1].parts[len(plan[n-1].parts)-1].Fusable {
-			p := &plan[n-1]
+	plan := make([]plannedStage, 0, len(groups))
+	for _, g := range groups {
+		var p plannedStage
+		for _, si := range g {
+			st := c.Stages[si]
+			if p.name != "" {
+				p.name += "+"
+			}
+			p.name += st.Name
 			p.parts = append(p.parts, st)
-			p.name += "+" + st.Name
 			p.covered = append(p.covered, st.covers()...)
-			continue
 		}
-		plan = append(plan, plannedStage{
-			name:    st.Name,
-			parts:   []Stage{st},
-			covered: append([]string(nil), st.covers()...),
-		})
+		plan = append(plan, p)
 	}
 	return plan
 }
@@ -217,33 +207,12 @@ func (c *Chain) Validate() error {
 type RunResult struct {
 	Items   int
 	Elapsed time.Duration
-	// Degraded is non-nil only when a supervised run survived pipeline
-	// deaths: it names the dead pipelines and counts retries and
-	// redispatched items. Runs that recovered purely by retrying transient
-	// failures (no deaths), and unsupervised runs, leave it nil; per-stage
-	// retry activity is observable via RecoveryPolicy.OnEvent.
+	// Degraded is non-nil only when a run survived pipeline deaths: it
+	// names the dead pipelines and counts retries and redispatched items.
+	// Runs that recovered purely by retrying transient failures (no
+	// deaths) leave it nil; per-stage retry activity is observable via
+	// RecoveryPolicy.OnEvent.
 	Degraded *faults.Degraded
-}
-
-// sendItem writes to ch unless the run is cancelled first.
-func sendItem(ctx context.Context, ch chan<- Item, it Item) error {
-	select {
-	case ch <- it:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// recvItem reads from ch unless the run is cancelled first; ok is false on
-// a cleanly closed stream.
-func recvItem(ctx context.Context, ch <-chan Item) (it Item, ok bool, err error) {
-	select {
-	case it, ok = <-ch:
-		return it, ok, nil
-	case <-ctx.Done():
-		return Item{}, false, ctx.Err()
-	}
 }
 
 // Run executes the chain for real with k parallel pipelines, each stage a
@@ -257,8 +226,9 @@ func (c *Chain) Run(k int) (RunResult, error) {
 // Feed, a stage Fn, or Collect is recovered and returned as an error; no
 // goroutines are leaked on any path.
 //
-// When Chain.Faults or Chain.Recovery is set, the run is supervised: see
-// runSupervised for the fault/recovery semantics.
+// Every run is supervised (see runSupervised): with Faults and Recovery
+// nil each stage application runs inline with no injected faults, and
+// supervision only routes items and watches for deaths.
 func (c *Chain) RunContext(ctx context.Context, k int) (RunResult, error) {
 	if err := c.Validate(); err != nil {
 		return RunResult{}, err
@@ -266,117 +236,7 @@ func (c *Chain) RunContext(ctx context.Context, k int) (RunResult, error) {
 	if k < 1 {
 		return RunResult{}, fmt.Errorf("pipe: need at least one pipeline")
 	}
-	if c.Faults != nil || c.Recovery != nil {
-		return c.runSupervised(ctx, k)
-	}
-	start := time.Now()
-	plan := c.plan()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-
-	var wg sync.WaitGroup
-	spawn := func(name string, fn func() error) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("pipe: %s panicked: %v", name, r))
-				}
-			}()
-			if err := fn(); err != nil {
-				fail(err)
-			}
-		}()
-	}
-
-	var collectMu sync.Mutex
-	total := 0
-	for pl := 0; pl < k; pl++ {
-		pl := pl
-		head := make(chan Item, 1)
-		spawn(fmt.Sprintf("feed %d", pl), func() error {
-			for seq := 0; ; seq++ {
-				item, ok := c.Feed(pl, seq)
-				if !ok {
-					close(head)
-					return nil
-				}
-				item.Seq, item.Pipeline = seq, pl
-				if item.Bytes == 0 {
-					item.Bytes = c.ItemBytes
-				}
-				if err := sendItem(ctx, head, item); err != nil {
-					return err
-				}
-			}
-		})
-		in := head
-		for _, ps := range plan {
-			ps := ps
-			out := make(chan Item, 1)
-			src := in
-			spawn(fmt.Sprintf("stage %s.%d", ps.name, pl), func() error {
-				for {
-					item, ok, err := recvItem(ctx, src)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						close(out)
-						return nil
-					}
-					for _, st := range ps.parts {
-						if st.Fn != nil {
-							item = st.Fn(item)
-						}
-					}
-					if err := sendItem(ctx, out, item); err != nil {
-						return err
-					}
-				}
-			})
-			in = out
-		}
-		tail := in
-		spawn(fmt.Sprintf("collect %d", pl), func() error {
-			for {
-				item, ok, err := recvItem(ctx, tail)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					return nil
-				}
-				// Unlock via defer so a panicking Collect cannot wedge the
-				// other pipelines' collectors.
-				func() {
-					collectMu.Lock()
-					defer collectMu.Unlock()
-					if c.Collect != nil {
-						c.Collect(item)
-					}
-					total++
-				}()
-			}
-		})
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return RunResult{}, firstErr
-	}
-	return RunResult{Items: total, Elapsed: time.Since(start)}, nil
+	return c.runSupervised(ctx, k)
 }
 
 // Calibrate measures each stage's mean wall time over the given sample

@@ -11,14 +11,14 @@ import (
 	"sccpipe/internal/faults"
 )
 
-// This file implements the supervised execution path of Chain.RunContext:
-// the same k-parallel stage-per-goroutine structure as the fast path, plus
-// a supervisor that makes injected (or organic) faults survivable. The
-// paper's own result — the mesh arrangement of a pipeline has no
-// measurable effect, because every hand-off funnels through the four
-// memory controllers — is what licenses the recovery strategy: work can
-// be re-mapped to any surviving pipeline at no modeled cost, so a dead
-// pipeline's items are simply redistributed.
+// This file implements Chain.RunContext, the one real-execution runtime:
+// k parallel pipelines of stage goroutines plus a supervisor that makes
+// injected (or organic) faults survivable. The paper's own result — the
+// mesh arrangement of a pipeline has no measurable effect, because every
+// hand-off funnels through the four memory controllers — is what licenses
+// the recovery strategy: work can be re-mapped to any surviving pipeline
+// at no modeled cost, so a dead pipeline's items are simply
+// redistributed.
 //
 // The moving parts:
 //
@@ -34,20 +34,26 @@ import (
 //   - on a death the supervisor cancels that pipeline's context and
 //     re-queues its in-flight snapshots onto survivors (stage Fns must be
 //     redo-safe, see Chain.Faults);
-//   - completions flow back to the supervisor, which dedups them by
-//     (origin, seq) — a redone item that raced its own redispatch arrives
-//     twice but reaches Collect exactly once — and terminates the run when
-//     all streams have ended and nothing is queued or in flight.
+//   - completions flow back to the supervisor tagged with their carrier.
+//     A completion from a dead carrier is dropped: the carrier's in-flight
+//     items were all re-queued when it died, so the redone copy is the one
+//     delivered and Collect sees every item exactly once. Dedup therefore
+//     needs only the dead set, never a record of every delivered item;
+//   - the supervisor terminates the run when all streams have ended and
+//     nothing is queued or in flight.
 type ident struct{ origin, seq int }
+
+// carried is an item and the pipeline carrying it: the hand-off unit
+// between stages, a completion, and the supervisor's in-flight record (the
+// item as fed, kept for redo).
+type carried struct {
+	carrier int
+	item    Item
+}
 
 type deathNote struct {
 	pipeline int
 	reason   string
-}
-
-type inflightRec struct {
-	carrier int
-	item    Item
 }
 
 // supervised bundles the shared state of one supervised run.
@@ -61,10 +67,10 @@ type supervised struct {
 	pctx    []context.Context
 	pcancel []context.CancelFunc
 
-	ins       []chan Item // per-pipeline chain heads
+	ins       []chan carried // per-pipeline chain heads
 	feedCh    chan feedMsg
 	deaths    chan deathNote
-	completed chan Item
+	completed chan carried
 
 	retries int64 // atomic: total retry attempts across stages
 	total   int64 // atomic: unique items delivered to Collect
@@ -73,14 +79,15 @@ type supervised struct {
 	settled atomic.Bool
 }
 
+// feedMsg is a fed item, or the end of its origin's stream.
 type feedMsg struct {
-	origin int
-	item   Item
-	eof    bool
+	item Item
+	eof  bool
 }
 
-// runSupervised executes the chain with fault injection and supervised
-// recovery. See Chain.Faults/Chain.Recovery for the contract changes.
+// runSupervised executes the chain under supervision, with whatever fault
+// injection and recovery policy the chain sets. See Chain.Faults and
+// Chain.Recovery for the contract changes recovery brings.
 func (c *Chain) runSupervised(parent context.Context, k int) (RunResult, error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(parent)
@@ -91,16 +98,16 @@ func (c *Chain) runSupervised(parent context.Context, k int) (RunResult, error) 
 		c: c, k: k, inj: c.Faults, pol: pol, ctx: ctx,
 		pctx:    make([]context.Context, k),
 		pcancel: make([]context.CancelFunc, k),
-		ins:     make([]chan Item, k),
+		ins:     make([]chan carried, k),
 		feedCh:  make(chan feedMsg, k),
 		// deaths never blocks a reporter: each stage goroutine reports at
 		// most once before exiting.
 		deaths:    make(chan deathNote, k*(len(c.Stages)+1)),
-		completed: make(chan Item, k),
+		completed: make(chan carried, k),
 	}
 	for i := 0; i < k; i++ {
 		s.pctx[i], s.pcancel[i] = context.WithCancel(ctx)
-		s.ins[i] = make(chan Item, 1)
+		s.ins[i] = make(chan carried, 1)
 	}
 
 	var errMu sync.Mutex
@@ -136,45 +143,39 @@ func (c *Chain) runSupervised(parent context.Context, k int) (RunResult, error) 
 		spawn(fmt.Sprintf("feed %d", o), func() error {
 			for seq := 0; ; seq++ {
 				item, ok := c.Feed(o, seq)
-				if !ok {
-					select {
-					case s.feedCh <- feedMsg{origin: o, eof: true}:
-					case <-ctx.Done():
-					}
-					return nil
-				}
 				item.Seq, item.Pipeline = seq, o
 				if item.Bytes == 0 {
 					item.Bytes = c.ItemBytes
 				}
 				select {
-				case s.feedCh <- feedMsg{origin: o, item: item}:
+				case s.feedCh <- feedMsg{item: item, eof: !ok}:
 				case <-ctx.Done():
 					return nil // the run-level outcome is decided elsewhere
+				}
+				if !ok {
+					return nil
 				}
 			}
 		})
 	}
 
-	// Stage chains: like the fast path, but every application goes through
-	// faults.Apply and the last stage emits into the shared completion
-	// channel. The chains run the execution plan, so a fused run occupies
-	// one goroutine while still honouring every covered stage's fault
-	// rules (see runStage).
+	// Stage chains: every application goes through faults.Apply and the
+	// last stage emits into the shared completion channel. The chains run
+	// the execution plan, so a fused run occupies one goroutine while still
+	// honouring every covered stage's fault rules (see runStage).
 	plan := c.plan()
 	for p := 0; p < k; p++ {
 		p := p
 		in := s.ins[p]
 		for si, ps := range plan {
 			ps := ps
-			last := si == len(plan)-1
-			var out chan Item
-			if !last {
-				out = make(chan Item, 1)
+			out := s.completed
+			if si < len(plan)-1 {
+				out = make(chan carried, 1)
 			}
 			src, dst := in, out
 			spawn(fmt.Sprintf("stage %s.%d", ps.name, p), func() error {
-				return s.runStage(p, ps, last, src, dst)
+				return s.runStage(p, ps, src, dst)
 			})
 			in = out
 		}
@@ -190,8 +191,8 @@ func (c *Chain) runSupervised(parent context.Context, k int) (RunResult, error) 
 
 	// Teardown: the supervisor has closed (or cancelled) every chain. A
 	// drainer takes over the completion channel so stage goroutines can
-	// flush any late redo duplicates — everything arriving now has already
-	// been delivered once — then cascade out.
+	// flush any late completions from dead carriers — everything arriving
+	// now has already been delivered once — then cascade out.
 	drained := make(chan struct{})
 	go func() {
 		defer close(drained)
@@ -232,48 +233,67 @@ func (c *Chain) runSupervised(parent context.Context, k int) (RunResult, error) 
 // on injected failures, so this is retry-safe). The planned stage's
 // single outgoing hand-off then consults the transfer-point rules of
 // every covered name.
-func (s *supervised) runStage(p int, ps plannedStage, last bool, src <-chan Item, dst chan<- Item) error {
+func (s *supervised) runStage(p int, ps plannedStage, src <-chan carried, dst chan carried) error {
 	pctx := s.pctx[p]
 	reportDeath := func(reason string) {
 		s.deaths <- deathNote{pipeline: p, reason: reason} // buffered: never blocks
 	}
+	// item and st live across iterations so runFn, the work closure handed
+	// to faults.Apply, is built once per goroutine rather than per item.
+	var item Item
+	var st *Stage
+	runFn := func() error {
+		if st.Fn != nil {
+			item = st.Fn(item)
+		}
+		return nil
+	}
+	// apply runs one fault point; exit reports whether the goroutine must
+	// return, with err as its result.
 	apply := func(transfer bool, name string, seq int, work func() error) (exit bool, err error) {
 		ap := faults.Apply(pctx, s.inj, &s.pol, transfer, p, name, seq, work)
-		atomic.AddInt64(&s.retries, int64(ap.Retries))
-		return s.afterVerdict(ap, name, reportDeath)
+		if ap.Retries > 0 {
+			atomic.AddInt64(&s.retries, int64(ap.Retries))
+		}
+		switch ap.Verdict {
+		case faults.VerdictOK:
+			return false, nil
+		case faults.VerdictDead:
+			reportDeath(ap.Reason)
+			return true, nil
+		case faults.VerdictCancelled:
+			return true, s.ctxOutcome()
+		}
+		return true, fmt.Errorf("pipe: stage %s failed: %w", name, ap.Err)
 	}
 	for {
-		var item Item
+		var in carried
 		var ok bool
 		select {
-		case item, ok = <-src:
+		case in, ok = <-src:
 		case <-pctx.Done():
 			return s.ctxOutcome()
 		}
 		if !ok {
-			if dst != nil {
+			if dst != s.completed {
 				close(dst)
 			}
 			return nil
 		}
+		item = in.item
 		if s.inj != nil && s.inj.Dead(p, item.Seq) {
 			reportDeath(fmt.Sprintf("injected core death at item %d", item.Seq))
 			return nil
 		}
 		for pi := range ps.parts {
-			st := &ps.parts[pi]
+			st = &ps.parts[pi]
 			names := st.covers()
 			for _, name := range names[:len(names)-1] {
 				if exit, err := apply(false, name, item.Seq, nil); exit {
 					return err
 				}
 			}
-			if exit, err := apply(false, names[len(names)-1], item.Seq, func() error {
-				if st.Fn != nil {
-					item = st.Fn(item)
-				}
-				return nil
-			}); exit {
+			if exit, err := apply(false, names[len(names)-1], item.Seq, runFn); exit {
 				return err
 			}
 		}
@@ -285,31 +305,11 @@ func (s *supervised) runStage(p int, ps plannedStage, last bool, src <-chan Item
 				return err
 			}
 		}
-		out := dst
-		if last {
-			out = s.completed
-		}
 		select {
-		case out <- item:
+		case dst <- carried{carrier: p, item: item}:
 		case <-pctx.Done():
 			return s.ctxOutcome()
 		}
-	}
-}
-
-// afterVerdict translates an Applied into the stage goroutine's reaction:
-// exit reports whether the goroutine must return (with err as its result).
-func (s *supervised) afterVerdict(ap faults.Applied, stage string, reportDeath func(string)) (exit bool, err error) {
-	switch ap.Verdict {
-	case faults.VerdictOK:
-		return false, nil
-	case faults.VerdictDead:
-		reportDeath(ap.Reason)
-		return true, nil
-	case faults.VerdictCancelled:
-		return true, s.ctxOutcome()
-	default: // VerdictFailed
-		return true, fmt.Errorf("pipe: stage %s failed: %w", stage, ap.Err)
 	}
 }
 
@@ -324,7 +324,7 @@ func (s *supervised) ctxOutcome() error {
 }
 
 // safeCollect delivers one item to Collect, converting a panic into an
-// error (matching the fast path's contract).
+// error.
 func (s *supervised) safeCollect(item Item) (err error) {
 	if s.c.Collect == nil {
 		return nil
@@ -343,14 +343,12 @@ func (s *supervised) safeCollect(item Item) (err error) {
 // complete (all pipelines dead, or the run context was cancelled).
 func (s *supervised) supervise() (*faults.Degraded, error) {
 	var (
-		queue        []Item
-		inflight     = make(map[ident]inflightRec)
-		seen         = make(map[ident]bool)
-		originsEOF   = 0
-		dead         = make(map[int]string)
-		rr           = 0
-		degraded     *faults.Degraded
-		redispatched = 0
+		queue      []Item
+		inflight   = make(map[ident]carried)
+		originsEOF = 0
+		dead       = make(map[int]string)
+		rr         = 0
+		degraded   *faults.Degraded
 	)
 	alive := func(p int) bool { _, d := dead[p]; return !d }
 	carrierFor := func(origin int) int {
@@ -398,7 +396,7 @@ func (s *supervised) supervise() (*faults.Degraded, error) {
 			rec := inflight[id]
 			delete(inflight, id)
 			queue = append(queue, rec.item)
-			redispatched++
+			degraded.Redispatched++
 			s.pol.Notify(faults.Event{Kind: faults.EventRedispatch, Pipeline: n.pipeline, Seq: id.seq})
 		}
 		return nil
@@ -411,16 +409,13 @@ func (s *supervised) supervise() (*faults.Degraded, error) {
 					close(ch)
 				}
 			}
-			if degraded != nil {
-				degraded.Redispatched = redispatched
-			}
 			return degraded, nil
 		}
 
 		// Head-of-queue dispatch target, recomputed every turn so deaths
 		// retarget queued work automatically. A nil channel disables the
 		// send arm while the queue is empty.
-		var sendCh chan Item
+		var sendCh chan carried
 		var head Item
 		target := -1
 		if len(queue) > 0 {
@@ -446,18 +441,17 @@ func (s *supervised) supervise() (*faults.Degraded, error) {
 			if err := handleDeath(n); err != nil {
 				return nil, err
 			}
-		case item := <-s.completed:
-			id := ident{item.Pipeline, item.Seq}
-			if !seen[id] {
-				seen[id] = true
-				if err := s.safeCollect(item); err != nil {
-					return nil, err
-				}
-				atomic.AddInt64(&s.total, 1)
+		case c := <-s.completed:
+			if !alive(c.carrier) {
+				break // its redone copy is queued or in flight elsewhere
 			}
-			delete(inflight, id)
-		case sendCh <- head:
-			inflight[ident{head.Pipeline, head.Seq}] = inflightRec{carrier: target, item: head}
+			delete(inflight, ident{c.item.Pipeline, c.item.Seq})
+			if err := s.safeCollect(c.item); err != nil {
+				return nil, err
+			}
+			atomic.AddInt64(&s.total, 1)
+		case sendCh <- carried{carrier: target, item: head}:
+			inflight[ident{head.Pipeline, head.Seq}] = carried{carrier: target, item: head}
 			queue = queue[1:]
 		case <-s.ctx.Done():
 			return nil, s.ctx.Err()

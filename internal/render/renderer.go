@@ -12,7 +12,7 @@ type Stats struct {
 	Filled     int64 // pixels written after the depth test
 	Candidates int64 // pixels covered before the depth test
 	TrisDrawn  int   // triangles submitted to the rasterizer
-	// Tiled-path counters (zero on the serial and replay paths).
+	// Tiled-path counters (zero on the serial path).
 	TrisSetup    int   // screen triangles in the setup buffer after clip + fan
 	TrisBinned   int64 // triangle→tile bin insertions (≥ TrisSetup)
 	TilesTouched int   // tiles with a non-empty bin
@@ -45,10 +45,6 @@ const (
 	// RasterSerial is the single-goroutine path: one pass over the culled
 	// list through the reusable Rasterizer.
 	RasterSerial
-	// RasterReplay is the pre-tiling band path kept as an ablation
-	// baseline: every band independently re-transforms, re-clips and
-	// re-sets-up the whole culled list (O(bands × tris) setup).
-	RasterReplay
 	// RasterTiled is the binned path: one setup pass over the culled list,
 	// triangles binned to row-tiles, tiles rasterized by the band pool
 	// under work stealing, with coarse per-tile z rejection.
@@ -81,21 +77,6 @@ type Renderer struct {
 	culled []int32     // reusable scratch for culling results
 	rast   Rasterizer  // reusable depth buffer + clip scratch (serial path)
 	tiled  tiledRaster // reusable setup buffer + tiles (tiled path)
-
-	// Replay-mode state: one slot per band (sub-view + rasterizer, both
-	// reused across frames) and the dispatch closure, built once.
-	bands  []renderBand
-	bandFn func(int)
-	vp     Mat4
-	nb     int
-}
-
-// renderBand is one replay band's reusable rasterization state. The image
-// is a zero-copy row view of the strip being rendered; the rasterizer keeps
-// its own depth buffer for the band's rows.
-type renderBand struct {
-	rast Rasterizer
-	img  frame.Image
 }
 
 // minRenderBandRows keeps parallel rasterization from engaging on strips
@@ -128,8 +109,6 @@ func (r *Renderer) RenderStrip(cam Camera, img *frame.Image, fullW, fullH, y0 in
 		}
 	}
 	switch mode {
-	case RasterReplay:
-		r.renderReplay(vp, img, fullW, fullH, y0, &st)
 	case RasterTiled:
 		r.renderTiled(vp, img, fullW, fullH, y0, &st)
 	default:
@@ -177,52 +156,6 @@ func (r *Renderer) renderTiled(vp Mat4, img *frame.Image, fullW, fullH, y0 int, 
 		st.Candidates += tr.tiles[i].cand
 	}
 	st.BinsRejected = tr.rejected
-}
-
-// renderReplay is the pre-tiling band path, kept as an ablation baseline:
-// bands write disjoint row ranges and share only the read-only cull result,
-// the scene, and the view-projection, but every band replays the whole
-// culled list through transform/clip/setup.
-func (r *Renderer) renderReplay(vp Mat4, img *frame.Image, fullW, fullH, y0 int, st *Stats) {
-	nb := r.Bands.Parallelism()
-	if nb > img.H/minRenderBandRows {
-		nb = img.H / minRenderBandRows
-	}
-	if nb <= 1 {
-		r.rast.Reset(img, fullW, fullH, y0)
-		for _, ti := range r.culled {
-			r.rast.DrawTriangle(vp, r.Tree.Triangles[ti])
-		}
-		st.Filled = r.rast.Filled
-		st.Candidates = r.rast.Candidates
-		return
-	}
-	for len(r.bands) < nb {
-		r.bands = append(r.bands, renderBand{})
-	}
-	for b := 0; b < nb; b++ {
-		b0, b1 := frame.StripBounds(img.H, nb, b)
-		slot := &r.bands[b]
-		slot.img = frame.Image{W: img.W, H: b1 - b0, Pix: img.Pix[b0*img.W*4 : b1*img.W*4]}
-		slot.rast.Reset(&slot.img, fullW, fullH, y0+b0)
-	}
-	if r.bandFn == nil {
-		r.bandFn = r.rasterBand
-	}
-	r.vp, r.nb = vp, nb
-	r.Bands.Run(nb, r.bandFn)
-	for b := 0; b < nb; b++ {
-		st.Filled += r.bands[b].rast.Filled
-		st.Candidates += r.bands[b].rast.Candidates
-	}
-}
-
-// rasterBand replays the culled triangle stream into one replay band.
-func (r *Renderer) rasterBand(b int) {
-	slot := &r.bands[b]
-	for _, ti := range r.culled {
-		slot.rast.DrawTriangle(r.vp, r.Tree.Triangles[ti])
-	}
 }
 
 // RenderFrame renders the whole frame (a strip spanning every row).

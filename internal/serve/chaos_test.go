@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -327,7 +328,9 @@ func TestHardStopBoundsDrain(t *testing.T) {
 // TestChaosSoak hammers a chaos-configured server with a barrage of small
 // render jobs under a seeded survivable plan: transients on every stage,
 // a deterministic pipeline death, and slowed transfers. Every job must
-// complete every frame. The barrage length scales with CHAOS_SOAK_JOBS
+// complete every frame, byte-identical to a clean server's frames for the
+// same spec; jobs alternate the one- and n-renderer configurations, which
+// chaos mode runs as is. The barrage length scales with CHAOS_SOAK_JOBS
 // (make chaos-soak raises it and adds -race); the default stays small so
 // the deterministic short version rides along in `make check`.
 //
@@ -363,20 +366,39 @@ func TestChaosSoak(t *testing.T) {
 	defer ts.Close()
 
 	const frames = 3
+	renderers := []string{"one", "n"}
+	soakSpec := func(i int) JobSpec {
+		spec := smallRender(frames)
+		spec.Renderer = renderers[i%len(renderers)]
+		return spec
+	}
+	clean := httptest.NewServer(New(Config{Workers: 1}))
+	defer clean.Close()
+	want := map[string][][]byte{}
+	for i := range renderers {
+		spec := soakSpec(i)
+		resp := postJob(t, clean.URL, spec)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("clean %s job: status %d", spec.Renderer, resp.StatusCode)
+		}
+		want[spec.Renderer], _ = readFrameBytes(t, resp)
+	}
+
 	results := make(chan error, jobs)
 	sem := make(chan struct{}, 2)
 	for i := 0; i < jobs; i++ {
+		spec := soakSpec(i)
 		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			resp := postJob(t, ts.URL, smallRender(frames))
+			resp := postJob(t, ts.URL, spec)
 			if resp.StatusCode != http.StatusOK {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				results <- &soakError{resp.StatusCode, string(body)}
 				return
 			}
-			got, tail := readStream(t, resp)
+			got, tail := readFrameBytes(t, resp)
 			if len(got) != frames {
 				results <- &soakError{0, "short stream"}
 				return
@@ -384,6 +406,12 @@ func TestChaosSoak(t *testing.T) {
 			if tail["frames"] != float64(frames) {
 				results <- &soakError{0, "bad summary"}
 				return
+			}
+			for f := range got {
+				if !bytes.Equal(got[f], want[spec.Renderer][f]) {
+					results <- &soakError{0, "renderer " + spec.Renderer + ": frame " + strconv.Itoa(f) + " differs from a clean run"}
+					return
+				}
 			}
 			results <- nil
 		}()

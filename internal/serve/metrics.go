@@ -2,13 +2,11 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"sort"
-	"strings"
 	"time"
 
 	"sccpipe/internal/host"
+	"sccpipe/internal/stats"
 )
 
 // Metric names. Labeled counters append a `{label="value"}` suffix to the
@@ -80,41 +78,39 @@ func retryKey(stage string) string {
 }
 
 // metricFamilies fixes the exposition order and metadata.
-var metricFamilies = []struct {
-	name, kind, help string
-}{
-	{mAccepted, "counter", "Jobs admitted past admission control."},
-	{mRejected, "counter", "Jobs refused at admission, by reason."},
-	{mCompleted, "counter", "Jobs that finished successfully."},
-	{mFailed, "counter", "Jobs that failed or timed out after admission."},
-	{mFrames, "counter", "Frames streamed to clients."},
-	{mQueue, "gauge", "Admitted jobs waiting for a pipeline slot."},
-	{mInflight, "gauge", "Pipeline runs currently executing."},
-	{mUptime, "gauge", "Seconds since the server started."},
-	{mStageBusy, "counter", "Per-stage busy time by backend (exec wall time, sim model time)."},
-	{mJobBusy, "counter", "Wall time spent running jobs (queue wait excluded)."},
-	{mRetries, "counter", "Supervised stage/transfer retries, by stage."},
-	{mPipeDeaths, "counter", "Pipelines declared dead and re-partitioned."},
-	{mJobsDegraded, "counter", "Jobs that completed degraded (survived dead pipelines)."},
-	{mBreakerState, "gauge", "Circuit breaker state: 0 closed, 1 open, 2 half-open."},
-	{mBreakerTrips, "counter", "Times the circuit breaker tripped open."},
-	{mRetryBudget, "gauge", "Per-job retry budget of the active recovery policy."},
-	{mPlanReplans, "counter", "Drift-triggered re-plans applied by the online planner."},
-	{mPlanPipelines, "gauge", "Pipeline replication factor of the active stage plan."},
-	{mPlanStages, "gauge", "Filter stage count (after fusion) of the active stage plan."},
-	{mPlanDrift, "gauge", "Stage-balance drift measured when the last observation window closed."},
-	{mCacheHits, "counter", "Render calls served from the content-addressed frame cache."},
-	{mCacheMisses, "counter", "Render calls that rasterized (and populated the cache)."},
-	{mCacheEvictions, "counter", "Cached frames evicted under the byte budget."},
-	{mCacheDedup, "counter", "Render calls de-duplicated onto a racing identical render in flight."},
-	{mCacheBytes, "gauge", "Pixel bytes currently held by the frame cache."},
-	{mCacheEntries, "gauge", "Frames currently held by the frame cache."},
-	{mStreamPNGBytes, "counter", "Frame payload bytes streamed as PNG parts."},
-	{mStreamDeltaBytes, "counter", "Frame payload bytes streamed as temporal-delta parts."},
-	{mRenderTrisSetup, "counter", "Screen triangles set up by the rasterizer (post clip/fan, tiled path)."},
-	{mRenderTrisBinned, "counter", "Triangle-to-tile bin insertions performed by the tiled rasterizer."},
-	{mRenderTilesTouched, "counter", "Row-tiles with at least one binned triangle."},
-	{mRenderBinsRejected, "counter", "Bin entries skipped by the coarse per-tile depth test."},
+var metricFamilies = []stats.Family{
+	{Name: mAccepted, Kind: "counter", Help: "Jobs admitted past admission control."},
+	{Name: mRejected, Kind: "counter", Help: "Jobs refused at admission, by reason.", Labeled: true},
+	{Name: mCompleted, Kind: "counter", Help: "Jobs that finished successfully."},
+	{Name: mFailed, Kind: "counter", Help: "Jobs that failed or timed out after admission."},
+	{Name: mFrames, Kind: "counter", Help: "Frames streamed to clients."},
+	{Name: mQueue, Kind: "gauge", Help: "Admitted jobs waiting for a pipeline slot."},
+	{Name: mInflight, Kind: "gauge", Help: "Pipeline runs currently executing."},
+	{Name: mUptime, Kind: "gauge", Help: "Seconds since the server started."},
+	{Name: mStageBusy, Kind: "counter", Help: "Per-stage busy time by backend (exec wall time, sim model time).", Labeled: true},
+	{Name: mJobBusy, Kind: "counter", Help: "Wall time spent running jobs (queue wait excluded)."},
+	{Name: mRetries, Kind: "counter", Help: "Supervised stage/transfer retries, by stage.", Labeled: true},
+	{Name: mPipeDeaths, Kind: "counter", Help: "Pipelines declared dead and re-partitioned."},
+	{Name: mJobsDegraded, Kind: "counter", Help: "Jobs that completed degraded (survived dead pipelines)."},
+	{Name: mBreakerState, Kind: "gauge", Help: "Circuit breaker state: 0 closed, 1 open, 2 half-open."},
+	{Name: mBreakerTrips, Kind: "counter", Help: "Times the circuit breaker tripped open."},
+	{Name: mRetryBudget, Kind: "gauge", Help: "Per-job retry budget of the active recovery policy."},
+	{Name: mPlanReplans, Kind: "counter", Help: "Drift-triggered re-plans applied by the online planner."},
+	{Name: mPlanPipelines, Kind: "gauge", Help: "Pipeline replication factor of the active stage plan.", Optional: true},
+	{Name: mPlanStages, Kind: "gauge", Help: "Filter stage count (after fusion) of the active stage plan.", Optional: true},
+	{Name: mPlanDrift, Kind: "gauge", Help: "Stage-balance drift measured when the last observation window closed.", Optional: true},
+	{Name: mCacheHits, Kind: "counter", Help: "Render calls served from the content-addressed frame cache."},
+	{Name: mCacheMisses, Kind: "counter", Help: "Render calls that rasterized (and populated the cache)."},
+	{Name: mCacheEvictions, Kind: "counter", Help: "Cached frames evicted under the byte budget."},
+	{Name: mCacheDedup, Kind: "counter", Help: "Render calls de-duplicated onto a racing identical render in flight."},
+	{Name: mCacheBytes, Kind: "gauge", Help: "Pixel bytes currently held by the frame cache."},
+	{Name: mCacheEntries, Kind: "gauge", Help: "Frames currently held by the frame cache."},
+	{Name: mStreamPNGBytes, Kind: "counter", Help: "Frame payload bytes streamed as PNG parts."},
+	{Name: mStreamDeltaBytes, Kind: "counter", Help: "Frame payload bytes streamed as temporal-delta parts."},
+	{Name: mRenderTrisSetup, Kind: "counter", Help: "Screen triangles set up by the rasterizer (post clip/fan, tiled path)."},
+	{Name: mRenderTrisBinned, Kind: "counter", Help: "Triangle-to-tile bin insertions performed by the tiled rasterizer."},
+	{Name: mRenderTilesTouched, Kind: "counter", Help: "Row-tiles with at least one binned triangle."},
+	{Name: mRenderBinsRejected, Kind: "counter", Help: "Bin entries skipped by the coarse per-tile depth test."},
 }
 
 // handleMetrics serves the Prometheus text exposition format (v0.0.4).
@@ -148,49 +144,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.m.Set(mPlanDrift, s.planCtl.LastDrift())
 	}
 
-	snap := s.m.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	for _, fam := range metricFamilies {
-		members := make([]string, 0, 2)
-		for _, k := range keys {
-			if k == fam.name || strings.HasPrefix(k, fam.name+"{") {
-				members = append(members, k)
-			}
-		}
-		if len(members) == 0 && fam.kind != "counter" {
-			continue // untouched gauge family (plan gauges with the planner off)
-		}
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
-		if len(members) == 0 {
-			// Expose untouched plain counters as explicit zeros so scrapes
-			// see the full instrument set from the first sample; labeled
-			// families stay empty until their first labeled sample.
-			switch fam.name {
-			case mRejected, mStageBusy, mRetries:
-			default:
-				fmt.Fprintf(w, "%s 0\n", fam.name)
-			}
-			continue
-		}
-		for _, k := range members {
-			fmt.Fprintf(w, "%s %s\n", k, formatValue(snap[k]))
-		}
-	}
-}
-
-// formatValue renders a sample value the way Prometheus expects: integers
-// without an exponent, everything else in Go's shortest form.
-func formatValue(v float64) string {
-	if v == float64(int64(v)) {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
+	stats.WriteExposition(w, metricFamilies, s.m.Snapshot())
 }
 
 // LoadReport is the machine-readable /healthz body. Beyond liveness it

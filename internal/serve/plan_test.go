@@ -30,6 +30,7 @@ func readFrameBytes(t *testing.T, resp *http.Response) ([][]byte, map[string]any
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
+			io.Copy(io.Discard, resp.Body) // as readStream: wait for the handler
 			return frames, tail
 		}
 		if err != nil {

@@ -110,14 +110,12 @@ type Config struct {
 	Breaker BreakerConfig
 	// Chaos, when non-nil, injects the plan's faults into every render
 	// job (each job gets its own deterministic injector built from the
-	// plan), exercising the supervised recovery path: retries, stall
-	// detection, and pipeline-death re-partitioning show up in /metrics.
-	// Simulate jobs are unaffected. Nil (the default) leaves the fast
-	// execution path byte-identical to a chaos-free build.
+	// plan), exercising recovery: retries, stall detection, and
+	// pipeline-death re-partitioning show up in /metrics. Render jobs run
+	// the same program either way; simulate jobs are unaffected.
 	Chaos *faults.Plan
-	// Recovery tunes the supervision applied to chaos-mode render jobs
-	// (and, when set without Chaos, enables supervision alone). Nil uses
-	// faults.RecoveryPolicy defaults.
+	// Recovery tunes the supervision of render jobs (retry budget,
+	// backoff, stall watchdog). Nil uses faults.RecoveryPolicy defaults.
 	Recovery *faults.RecoveryPolicy
 }
 
@@ -317,6 +315,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // ListenAndServe serves on addr until ctx is cancelled, then drains:
 // admission closes, in-flight jobs (and their streaming responses) run to
 // completion bounded by Config.DrainTimeout, and the listener shuts down.
+// If the window expires with jobs still running — e.g. a job stuck in an
+// injected retry/backoff loop — every in-flight job's context is
+// cancelled (HardStop) so the drain deadline stays a real deadline.
 // ready, if non-nil, is called with the bound address before serving —
 // callers using ":0" learn the port this way. The return value is nil
 // after a clean drain.
@@ -328,7 +329,28 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(net
 	if ready != nil {
 		ready(ln.Addr())
 	}
-	hs := &http.Server{Handler: s}
+	return ServeAndDrain(ctx, ln, s, s.cfg.DrainTimeout, s.BeginDrain, s.HardStop)
+}
+
+// Slow-client limits of every server ServeAndDrain runs: a client gets
+// readHeaderTimeout to send a request's header, and a keep-alive
+// connection may sit idle between requests for idleTimeout. There is no
+// write timeout, because a job's response streams for the whole job.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// ServeAndDrain serves h on ln until ctx is cancelled, then drains: it
+// calls beginDrain, lets in-flight requests finish within drainTimeout,
+// and shuts the listener down. If the window expires with requests still
+// running, it calls hardStop (when non-nil) and gives the handlers five
+// more seconds to unwind before severing whatever is left. It returns the
+// error that stopped Serve, the drain window's expiry, or nil after a
+// clean drain. Both the render service and the fleet gateway serve
+// through it.
+func ServeAndDrain(ctx context.Context, ln net.Listener, h http.Handler, drainTimeout time.Duration, beginDrain, hardStop func()) error {
+	hs := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -336,19 +358,19 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, ready func(net
 		return err
 	case <-ctx.Done():
 	}
-	s.BeginDrain()
-	dctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
+	beginDrain()
+	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	err = hs.Shutdown(dctx) // waits for in-flight requests
+	err := hs.Shutdown(dctx) // waits for in-flight requests
 	if err != nil {
-		// The graceful window expired with jobs still running — e.g. a job
-		// stuck in an injected retry/backoff loop. Cancel every in-flight
-		// job's context and give the handlers a moment to unwind; the
-		// drain deadline stays a real deadline.
-		s.HardStop()
-		hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer hcancel()
-		if herr := hs.Shutdown(hctx); herr != nil {
+		severed := true
+		if hardStop != nil {
+			hardStop()
+			hctx, hcancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer hcancel()
+			severed = hs.Shutdown(hctx) != nil
+		}
+		if severed {
 			hs.Close() // sever whatever is left mid-stream
 		}
 	}

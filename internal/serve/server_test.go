@@ -55,6 +55,10 @@ func readStream(t *testing.T, resp *http.Response) (frames []int, tail map[strin
 	for {
 		part, err := mr.NextPart()
 		if err == io.EOF {
+			// Read to the end of the HTTP body: it ends only when the
+			// handler has returned, after the job's outcome is counted, so
+			// a metrics scrape that follows sees this job.
+			io.Copy(io.Discard, resp.Body)
 			return frames, tail
 		}
 		if err != nil {
@@ -444,6 +448,51 @@ func TestListenAndServeDrainsOnCancel(t *testing.T) {
 	}
 	if !s.Draining() {
 		t.Fatal("server not marked draining after shutdown")
+	}
+}
+
+// TestSlowHeaderClientDisconnected: a client that sends half a request
+// header and then stalls (a slow-loris) is disconnected once
+// readHeaderTimeout passes, instead of holding its connection forever.
+func TestSlowHeaderClientDisconnected(t *testing.T) {
+	t.Parallel() // the wait is readHeaderTimeout of wall time
+	s := New(Config{Workers: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addrc := make(chan string, 1)
+	errc := make(chan error, 1)
+	go func() {
+		errc <- s.ListenAndServe(ctx, "127.0.0.1:0", func(a net.Addr) { addrc <- a.String() })
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-errc:
+		t.Fatalf("server exited early: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /jobs HTTP/1.1\r\nHost: sccserve\r\nContent-Type: appl"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 10*time.Second))
+	n, err := conn.Read(make([]byte, 512))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open %v after a half-sent header", time.Since(start))
+	}
+	if err == nil {
+		t.Fatalf("server answered %d bytes to a half-sent header instead of disconnecting", n)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Fatalf("disconnected after %v, before the header timeout", waited)
+	}
+	cancel()
+	if err := <-errc; err != nil {
+		t.Fatalf("ListenAndServe: %v", err)
 	}
 }
 

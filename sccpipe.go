@@ -370,8 +370,10 @@ type (
 // Fault-plane types: a seeded declarative fault plan compiled into a
 // deterministic injector, the recovery policy supervising real runs, and
 // the degraded-mode report. Set ExecSpec.Faults/Recovery (or the PipeChain
-// fields of the same names) to opt in; nil everywhere selects the original
-// fast paths byte for byte.
+// fields of the same names) to inject faults or tune recovery. Every real
+// run executes on the same supervised runtime, so a chaos run renders,
+// pools, caches and fuses exactly as a clean one; nil injects nothing and
+// applies the default policy.
 type (
 	// FaultPlan is a seeded set of fault rules (see faults.Plan).
 	FaultPlan = faults.Plan
